@@ -24,8 +24,8 @@ from .io_formats import (
 from .kofn import ChooseSpec, build_choose_bag, build_choose_bag_naive
 from .lossy import Distribution, measure_error, reduce_repeated
 from .majority import build_reduced_majority
-from .trees import Bag, bag_eval, tree_size
-from .verify import exhaustive_equiv, majority_oracle, threshold_oracle
+from .trees import Bag, TruthTable, tree_size, truth_table
+from .verify import exhaustive_equiv, threshold_table
 
 CSV_COLUMNS = [
     "mode",
@@ -119,33 +119,33 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_oracle(spec: str, n_vars: int, other_loader):
+def _parse_oracle(spec: str, n_vars: int, other_loader) -> TruthTable:
     if spec == "maj":
         if n_vars % 2 == 0:
             raise ValueError(f"majority oracle needs an odd variable count, got {n_vars}")
-        return majority_oracle
+        return threshold_table((n_vars + 1) // 2, n_vars)
     if spec.startswith("kofn:"):
-        k = int(spec.split(":", 1)[1])
-        return lambda bits: threshold_oracle(k, bits)
+        return threshold_table(int(spec.split(":", 1)[1]), n_vars)
     if spec.startswith("bag:"):
         other = other_loader(spec.split(":", 1)[1])
         if other.n_vars != n_vars:
             raise ValueError(
                 f"reference bag declares {other.n_vars} variables, subject {n_vars}"
             )
-        return lambda bits: bag_eval(other, bits), other
+        return truth_table(other)
     raise ValueError(f"oracle must be maj, kofn:<k>, or bag:<file>, got {spec!r}")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     bag = _load_bag(args.bag)
-    other = None
-    parsed = _parse_oracle(args.oracle, bag.n_vars, _load_bag)
-    oracle = parsed
-    if isinstance(parsed, tuple):
-        oracle, other = parsed
-    counterexample = exhaustive_equiv(bag, oracle, bag.n_vars)
+    oracle = _parse_oracle(args.oracle, bag.n_vars, _load_bag)
+    table = truth_table(bag)
+    counterexample = exhaustive_equiv(table, oracle, bag.n_vars)
     dist = _load_dist(args.dist) if args.dist else None
+    if dist is not None and dist.n_vars != bag.n_vars:
+        raise ValueError(
+            f"distribution over {dist.n_vars} variables, bag over {bag.n_vars}"
+        )
     if counterexample is None:
         print("ok")
         return 0
@@ -153,15 +153,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         f"counterexample: input={counterexample.input} "
         f"expected={counterexample.expected} actual={counterexample.actual}"
     )
-    if dist is not None and other is not None:
-        error = measure_error(bag, other, dist)
-        print(f"disagreement weight: {_frac_str(error)}")
-    elif dist is not None:
-        disagree = 0
-        for index in range(1 << bag.n_vars):
-            bits = [(index >> j) & 1 for j in range(bag.n_vars)]
-            if bag_eval(bag, bits) != (1 if oracle(bits) else 0):
-                disagree += dist.weight(index)
+    if dist is not None:
+        disagree = dist.weight_of((table ^ oracle).bits)
         print(f"disagreement weight: {_frac_str(Fraction(disagree, dist.total))}")
     return 1
 
@@ -182,9 +175,7 @@ def _sweep_kofn(args: argparse.Namespace) -> tuple[list[dict], bool]:
         m = (n + 1) // 2
         for k in range(1, n + 1):
             bag = build_choose_bag(ChooseSpec(n, k))
-            counterexample = exhaustive_equiv(
-                bag, lambda bits, k=k: threshold_oracle(k, bits), n
-            )
+            counterexample = exhaustive_equiv(bag, threshold_table(k, n), n)
             verified = counterexample is None
             all_ok &= verified
             max_size, total = _sizes(bag)
@@ -227,7 +218,7 @@ def _sweep_majority(args: argparse.Namespace) -> tuple[list[dict], bool]:
             if not 1 <= c <= m - 2:
                 continue
             bag = build_reduced_majority(n, c)
-            counterexample = exhaustive_equiv(bag, majority_oracle, n)
+            counterexample = exhaustive_equiv(bag, threshold_table(m, n), n)
             verified = counterexample is None
             all_ok &= verified
             max_size, total = _sizes(bag)

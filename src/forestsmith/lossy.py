@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb
 from typing import Mapping, Sequence
 
@@ -28,6 +28,8 @@ from .trees import (
     negate,
     tree_size,
 )
+
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass(frozen=True)
@@ -76,6 +78,17 @@ class Distribution:
         if self.weights is None:
             return 1
         return self.weights[index]
+
+    def weight_of(self, mask: int) -> int:
+        """Total weight of the inputs whose canonical indices are set in ``mask``."""
+        size = 1 << self.n_vars
+        if mask < 0 or mask >> size:
+            raise ValueError(f"mask out of range for {self.n_vars} variables")
+        if self.weights is None:
+            return mask.bit_count()
+        # One base-2 digit per input, input 0 first: a linear pass, no shifts.
+        digits = format(mask, f"0{size}b")[::-1].encode()
+        return sum(compress(self.weights, digits.translate(_DIGIT_VALUES)))
 
     def weights_vector(self) -> tuple[int, ...]:
         if self.weights is None:

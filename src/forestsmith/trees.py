@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence, Union
 
@@ -237,13 +237,18 @@ def max_table_vars() -> int:
     return cap
 
 
-def _check_table_width(n_vars: int) -> None:
+def _check_table_width(n_vars: int, warn: bool = True) -> None:
+    """Refuse widths over the cap; warn past SOFT_WARN_VARS when ``warn``.
+
+    Callers that enumerate the 2^n_vars inputs warn; helpers that only build
+    a table for such a caller pass ``warn=False`` so one check warns once.
+    """
     cap = max_table_vars()
     if n_vars > cap:
         raise ValueError(
             f"refusing exhaustive enumeration over {n_vars} variables (cap {cap})"
         )
-    if n_vars > SOFT_WARN_VARS:
+    if warn and n_vars > SOFT_WARN_VARS:
         warnings.warn(
             f"enumerating 2^{n_vars} inputs; this may be slow", stacklevel=3
         )
@@ -273,6 +278,9 @@ class TruthTable:
 
     n_vars: int
     bits: int
+    # Little-endian bytes of ``bits``, made on the first index lookup: reading
+    # bit i as (bits >> i) & 1 copies the int, quadratic over a whole table.
+    _bytes: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.bits < 0 or self.bits >> (1 << self.n_vars):
@@ -284,10 +292,19 @@ class TruthTable:
     def __getitem__(self, index: int) -> int:
         if not 0 <= index < (1 << self.n_vars):
             raise IndexError(index)
-        return (self.bits >> index) & 1
+        if self._bytes is None:
+            size = ((1 << self.n_vars) + 7) // 8
+            object.__setattr__(self, "_bytes", self.bits.to_bytes(size, "little"))
+        return (self._bytes[index >> 3] >> (index & 7)) & 1
+
+    def __call__(self, bits: Sequence[int]) -> int:
+        """Value on one input given as bits, so a table can stand in for an oracle."""
+        if len(bits) != self.n_vars:
+            raise ValueError(f"need {self.n_vars} input bits, got {len(bits)}")
+        return self[input_index(bits)]
 
     def to_tuple(self) -> tuple[int, ...]:
-        return tuple((self.bits >> i) & 1 for i in range(1 << self.n_vars))
+        return tuple(self[i] for i in range(1 << self.n_vars))
 
     def ones(self) -> int:
         return self.bits.bit_count()
@@ -324,8 +341,9 @@ def _tree_table_bits(tree: Tree, n_vars: int) -> int:
             raise ValueError(
                 f"variable index {node.var} out of range for {n_vars} variables"
             )
-        m = masks[node.var - 1]
-        return (hi & m) | (lo & ~m & full)
+        # hi where the variable is 1, lo elsewhere. Non-negative operands only:
+        # the complement ~mask is a negative big int, several times slower.
+        return lo ^ ((lo ^ hi) & masks[node.var - 1])
 
     return _fold(tree, lambda leaf: full if leaf.label else 0, node_fn)
 

@@ -2,7 +2,16 @@
 
 The oracles here decide by counting bits directly and never touch the tree
 machinery, so they stay independent of the constructions they are used to
-check. The formula evaluators re-derive the composed constructions by plain
+check. ``threshold_oracle`` and ``majority_oracle`` answer one input at a
+time; ``threshold_table`` tabulates the same threshold function over all
+2^n inputs at once by splitting on the top variable, a linear pass of
+shifts and ORs. It builds no trees and shares no code with the bit-sliced
+vote counter (``_lanes_at_least``/``_vote_table_bits``) that computes a
+bag's table, so a bug in that counter cannot cancel out of the comparison.
+``exhaustive_equiv`` compares two whole tables: the least set bit of their
+XOR is the first counterexample in canonical order.
+
+The formula evaluators re-derive the composed constructions by plain
 Boolean logic over per-tree outputs, giving a second route around
 conjoin/disjoin/prefix_graft.
 """
@@ -10,9 +19,10 @@ conjoin/disjoin/prefix_graft.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Sequence, Union
 
-from .trees import Bag, Tree, _check_table_width, input_bits, truth_table
+from .trees import Bag, Tree, TruthTable, _check_table_width, input_bits, truth_table
 
 
 def threshold_oracle(k: int, bits: Sequence[int]) -> int:
@@ -25,6 +35,47 @@ def majority_oracle(bits: Sequence[int]) -> int:
     if len(bits) % 2 == 0:
         raise ValueError(f"majority needs an odd number of bits, got {len(bits)}")
     return 1 if sum(bits) >= (len(bits) + 1) // 2 else 0
+
+
+def threshold_table(k: int, n_vars: int) -> TruthTable:
+    """Table of "at least ``k`` of ``n_vars`` bits are 1" over every input.
+
+    Same edge rules as :func:`threshold_oracle`: k <= 0 gives all ones and
+    k > n_vars all zeros. Built variable by variable from
+    T(j, v+1) = T(j, v) | T(j-1, v) << 2^v, where T(j, v) is the table of
+    "at least j ones among x_1..x_v" over the first 2^v inputs.
+    """
+    if n_vars < 0:
+        raise ValueError(f"variable count must be >= 0, got {n_vars}")
+    _check_table_width(n_vars, warn=False)
+    size = 1 << n_vars
+    if k <= 0:
+        return TruthTable(n_vars, (1 << size) - 1)
+    if k > n_vars:
+        return TruthTable(n_vars, 0)
+    rows = [1] + [0] * k  # rows[j] = T(j, 0): only j <= 0 holds on zero variables
+    for v in range(n_vars):
+        half = 1 << v
+        for j in range(k, 0, -1):
+            rows[j] |= rows[j - 1] << half
+        rows[0] = (1 << (half << 1)) - 1
+    return TruthTable(n_vars, rows[k])
+
+
+def _tabulate(oracle: Callable[[tuple[int, ...]], int], n_vars: int) -> TruthTable:
+    """Table of a per-input oracle, asked once per input in canonical order."""
+    digits = bytearray(b"0") * (1 << n_vars)
+    # product() varies its last position fastest; reversed, that is x_1.
+    for index, reversed_bits in enumerate(product((0, 1), repeat=n_vars)):
+        if oracle(reversed_bits[::-1]):
+            digits[index] = ord("1")
+    digits.reverse()
+    return TruthTable(n_vars, int(digits, 2))
+
+
+def _check_same_width(table: TruthTable, n_vars: int) -> None:
+    if table.n_vars != n_vars:
+        raise ValueError(f"table over {table.n_vars} variables, expected {n_vars}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,24 +92,28 @@ class Counterexample:
 
 
 def exhaustive_equiv(
-    subject: Union[Tree, Bag],
-    oracle: Callable[[tuple[int, ...]], int],
+    subject: Union[Tree, Bag, TruthTable],
+    oracle: Union[TruthTable, Callable[[tuple[int, ...]], int]],
     n_vars: int,
 ) -> Counterexample | None:
     """Compare ``subject`` against ``oracle`` on every input.
 
-    Returns None when they agree everywhere, otherwise the counterexample
-    with the smallest canonical input index.
+    ``subject`` is a tree, a bag, or its already computed table; ``oracle``
+    is a table or a per-input callable (any truthy result counts as 1),
+    which is tabulated first. Returns None when they agree everywhere,
+    otherwise the counterexample with the smallest canonical input index.
     """
-    _check_table_width(n_vars)
-    table = truth_table(subject, n_vars)
-    for index in range(1 << n_vars):
-        bits = input_bits(index, n_vars)
-        expected = 1 if oracle(bits) else 0
-        actual = table[index]
-        if expected != actual:
-            return Counterexample(bits, expected, actual)
-    return None
+    actual = subject if isinstance(subject, TruthTable) else truth_table(subject, n_vars)
+    _check_same_width(actual, n_vars)
+    expected = oracle if isinstance(oracle, TruthTable) else _tabulate(oracle, n_vars)
+    _check_same_width(expected, n_vars)
+    diff = actual.bits ^ expected.bits
+    if not diff:
+        return None
+    index = (diff & -diff).bit_length() - 1
+    return Counterexample(
+        input_bits(index, n_vars), (expected.bits >> index) & 1, (actual.bits >> index) & 1
+    )
 
 
 def choose_tree_formula(

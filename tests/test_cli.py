@@ -1,9 +1,11 @@
 import csv
 import json
+import warnings
 from fractions import Fraction
 
 import pytest
 
+from forestsmith import trees
 from forestsmith.cli import CSV_COLUMNS, main
 from forestsmith.io_formats import (
     deserialize_bag,
@@ -188,6 +190,95 @@ class TestVerify:
         code, _, stderr = run(capsys, "verify", "--bag", str(path), "--oracle", "nope")
         assert code == 2
         assert "oracle" in stderr
+
+
+class TestVerifyWeights:
+    """Disagreement weights under a non-uniform table, counted by hand."""
+
+    WEIGHTS = (1, 2, 3, 4, 5, 6, 7, 8)  # total 36
+
+    @pytest.fixture
+    def dist(self, tmp_path):
+        path = tmp_path / "w.dist.json"
+        path.write_text(serialize_distribution(Distribution.from_weights(3, self.WEIGHTS)))
+        return path
+
+    def write_bag(self, tmp_path, k):
+        path = tmp_path / f"k{k}.bag.json"
+        path.write_text(serialize_bag(build_choose_bag(ChooseSpec(3, k))))
+        return path
+
+    def test_kofn_oracle(self, tmp_path, dist, capsys):
+        subject = self.write_bag(tmp_path, 2)
+        code, stdout, _ = run(
+            capsys, "verify", "--bag", str(subject), "--oracle", "kofn:1", "--dist", str(dist)
+        )
+        assert code == 1
+        # "at least 2 of 3" and "at least 1 of 3" differ on the inputs with a
+        # single 1: indices 1, 2 and 4, weights 2 + 3 + 5 = 10 of 36.
+        assert stdout.splitlines() == [
+            "counterexample: input=(1, 0, 0) expected=1 actual=0",
+            "disagreement weight: 5/18",
+        ]
+
+    def test_majority_oracle(self, tmp_path, dist, capsys):
+        subject = self.write_bag(tmp_path, 3)
+        code, stdout, _ = run(
+            capsys, "verify", "--bag", str(subject), "--oracle", "maj", "--dist", str(dist)
+        )
+        assert code == 1
+        # "all 3" and majority differ on the inputs with two 1s: indices 3, 5
+        # and 6, weights 4 + 6 + 7 = 17 of 36.
+        assert stdout.splitlines() == [
+            "counterexample: input=(1, 1, 0) expected=1 actual=0",
+            "disagreement weight: 17/36",
+        ]
+
+    def test_agreement_prints_ok(self, tmp_path, dist, capsys):
+        subject = self.write_bag(tmp_path, 1)
+        code, stdout, _ = run(
+            capsys, "verify", "--bag", str(subject), "--oracle", "kofn:1", "--dist", str(dist)
+        )
+        assert code == 0 and stdout == "ok\n"
+
+    def test_distribution_of_another_width_exits_2(self, tmp_path, capsys):
+        subject = self.write_bag(tmp_path, 2)
+        dist = tmp_path / "u4.dist.json"
+        dist.write_text(serialize_distribution(Distribution.uniform(4)))
+        for oracle in ("maj", "kofn:1", f"bag:{subject}"):
+            code, stdout, stderr = run(
+                capsys, "verify", "--bag", str(subject), "--oracle", oracle, "--dist", str(dist)
+            )
+            assert code == 2 and stdout == ""
+            assert "distribution over 4 variables, bag over 3" in stderr
+
+
+class TestVerifyWidthWarning:
+    @pytest.fixture
+    def subject(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(trees, "SOFT_WARN_VARS", 2)
+        path = tmp_path / "s.bag.json"
+        path.write_text(serialize_bag(build_choose_bag(ChooseSpec(3, 2))))
+        return path
+
+    def warnings_of(self, capsys, recwarn, *argv):
+        # Count repeats from one call site too; the filter ends with the test.
+        warnings.simplefilter("always")
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 0 and stdout == "ok\n"
+        return [str(w.message) for w in recwarn]
+
+    @pytest.mark.parametrize("oracle", ["maj", "kofn:2"])
+    def test_one_warning_per_verify(self, subject, oracle, capsys, recwarn):
+        argv = ("verify", "--bag", str(subject), "--oracle", oracle)
+        assert self.warnings_of(capsys, recwarn, *argv) == [
+            "enumerating 2^3 inputs; this may be slow"
+        ]
+
+    def test_one_warning_per_bag_table(self, subject, capsys, recwarn):
+        # Two bags are enumerated: the reference and the subject.
+        argv = ("verify", "--bag", str(subject), "--oracle", f"bag:{subject}")
+        assert len(self.warnings_of(capsys, recwarn, *argv)) == 2
 
 
 class TestSweep:

@@ -397,3 +397,28 @@ class TestReduceRepeated:
     def test_zero_steps_rejected(self):
         with pytest.raises(ValueError, match=">= 1"):
             reduce_repeated(SINGLE_VAR_9, Distribution.uniform(9), 3, 0)
+
+
+class TestWeightOf:
+    def test_uniform_counts_the_set_bits(self):
+        assert Distribution.uniform(3).weight_of(0b1011_0001) == 4
+        assert Distribution.uniform(3).weight_of(0) == 0
+
+    def test_table_sums_the_weights_at_set_bits(self):
+        d = Distribution.from_weights(3, (1, 2, 3, 4, 5, 6, 7, 8))
+        assert d.weight_of(0b0001_0110) == 2 + 3 + 5
+        assert d.weight_of(0b1111_1111) == d.total
+
+    def test_matches_a_per_index_sum(self):
+        rng = random.Random(5)
+        for n in (1, 4, 9):
+            d = Distribution.from_weights(n, [rng.randrange(4) for _ in range(1 << n)])
+            mask = rng.getrandbits(1 << n)
+            want = sum(d.weight(i) for i in range(1 << n) if (mask >> i) & 1)
+            assert d.weight_of(mask) == want
+
+    def test_rejects_a_mask_beyond_the_width(self):
+        with pytest.raises(ValueError, match="mask"):
+            Distribution.uniform(2).weight_of(1 << 4)
+        with pytest.raises(ValueError, match="mask"):
+            Distribution.from_weights(1, (1, 1)).weight_of(-1)

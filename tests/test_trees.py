@@ -290,3 +290,18 @@ def test_composition_semantics_at_width_12():
 def test_soft_warning_past_twenty_variables():
     with pytest.warns(UserWarning, match="may be slow"):
         truth_table(LEAF1, 21)
+
+
+class TestTruthTableCall:
+    def test_agrees_with_tree_evaluation(self):
+        rng = random.Random(11)
+        for _ in range(20):
+            tree = make_random_tree(rng, 5, 4)
+            table = truth_table(tree, 5)
+            for index in range(32):
+                bits = input_bits(index, 5)
+                assert table(bits) == eval_tree(tree, bits)
+
+    def test_rejects_an_input_of_another_length(self):
+        with pytest.raises(ValueError, match="need 3 input bits"):
+            truth_table(X1, 3)((1, 0))
