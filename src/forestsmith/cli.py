@@ -22,7 +22,7 @@ from .io_formats import (
     serialize_report,
 )
 from .kofn import ChooseSpec, build_choose_bag, build_choose_bag_naive
-from .lossy import Distribution, measure_error, reduce_repeated
+from .lossy import Distribution, InvariantError, measure_error, reduce_repeated
 from .majority import build_reduced_majority
 from .trees import Bag, TruthTable, tree_size, truth_table
 from .verify import exhaustive_equiv, threshold_table
@@ -168,6 +168,27 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         raise ValueError(f"{flag} must be a comma-separated integer list, got {text!r}")
 
 
+def _row(
+    mode: str, bag: Bag, bound, verified: bool, error: Fraction | None, ratio=None, **params
+) -> dict:
+    """One sweep CSV row; ``ratio`` defaults to the largest tree's size over ``bound``."""
+    max_size, total = _sizes(bag)
+    if ratio is None:
+        ratio = max_size / bound
+    return {
+        "mode": mode,
+        **params,
+        "trees": len(bag),
+        "max_tree_size": max_size,
+        "total_size": total,
+        "bound": bound,
+        "ratio": f"{ratio:.6f}",
+        "verified": verified,
+        "error": "" if error is None else _frac_str(error),
+        "error_decimal": "" if error is None else f"{float(error):.6f}",
+    }
+
+
 def _sweep_kofn(args: argparse.Namespace) -> tuple[list[dict], bool]:
     rows = []
     all_ok = True
@@ -178,8 +199,6 @@ def _sweep_kofn(args: argparse.Namespace) -> tuple[list[dict], bool]:
             counterexample = exhaustive_equiv(bag, threshold_table(k, n), n)
             verified = counterexample is None
             all_ok &= verified
-            max_size, total = _sizes(bag)
-            bound = n ** (abs(m - k) + 1)
             error = (
                 Fraction(0)
                 if verified
@@ -189,21 +208,7 @@ def _sweep_kofn(args: argparse.Namespace) -> tuple[list[dict], bool]:
                     Distribution.uniform(n),
                 )
             )
-            rows.append(
-                {
-                    "mode": "kofn",
-                    "n": n,
-                    "k": k,
-                    "trees": len(bag),
-                    "max_tree_size": max_size,
-                    "total_size": total,
-                    "bound": bound,
-                    "ratio": f"{max_size / bound:.6f}",
-                    "verified": verified,
-                    "error": _frac_str(error),
-                    "error_decimal": f"{float(error):.6f}",
-                }
-            )
+            rows.append(_row("kofn", bag, n ** (abs(m - k) + 1), verified, error, n=n, k=k))
     return rows, all_ok
 
 
@@ -221,23 +226,9 @@ def _sweep_majority(args: argparse.Namespace) -> tuple[list[dict], bool]:
             counterexample = exhaustive_equiv(bag, threshold_table(m, n), n)
             verified = counterexample is None
             all_ok &= verified
-            max_size, total = _sizes(bag)
+            error = Fraction(0) if verified else None
             bound = (4**c) * n ** (c + 1)
-            rows.append(
-                {
-                    "mode": "majority",
-                    "n": n,
-                    "c": c,
-                    "trees": len(bag),
-                    "max_tree_size": max_size,
-                    "total_size": total,
-                    "bound": bound,
-                    "ratio": f"{max_size / bound:.6f}",
-                    "verified": verified,
-                    "error": "0/1" if verified else "",
-                    "error_decimal": "0.000000" if verified else "",
-                }
-            )
+            rows.append(_row("majority", bag, bound, verified, error, n=n, c=c))
         if c_values:
             # Informational context only: generic lower bounds for exact
             # majority on few trees grow exponentially in n; the recorded
@@ -266,29 +257,14 @@ def _sweep_lossy(args: argparse.Namespace) -> tuple[list[dict], bool]:
         reduced, report = reduce_repeated(bag, dist, args.K, args.c)
         verified = report.measured_error <= report.error_bound
         all_ok &= verified
-        max_size, total = _sizes(reduced)
         ratio = (
             float(report.measured_error / report.error_bound)
             if report.error_bound
             else 0.0
         )
-        rows.append(
-            {
-                "mode": "lossy",
-                "n": args.l,
-                "c": args.c,
-                "K": args.K,
-                "seed": seed,
-                "trees": len(reduced),
-                "max_tree_size": max_size,
-                "total_size": total,
-                "bound": _frac_str(report.error_bound),
-                "ratio": f"{ratio:.6f}",
-                "verified": verified,
-                "error": _frac_str(report.measured_error),
-                "error_decimal": f"{float(report.measured_error):.6f}",
-            }
-        )
+        bound, error = _frac_str(report.error_bound), report.measured_error
+        params = {"n": args.l, "c": args.c, "K": args.K, "seed": seed}
+        rows.append(_row("lossy", reduced, bound, verified, error, ratio, **params))
     return rows, all_ok
 
 
@@ -415,8 +391,14 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (SchemaError, ValueError, OSError) as exc:
+    except (SchemaError, ValueError, OSError, InvariantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nested too deeply (recursion limit exceeded)", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -6,6 +6,10 @@ composed so the vote count survives the loss of two slots except on two
 narrow profile strata. All weights are non-negative integers and all error
 figures exact rationals, so every bound is an exact comparison, never a
 tolerance check.
+
+Every weight is :meth:`Distribution.weight_of` of an input mask: vote profiles
+are mask cells, split tree by tree on each tree's truth table, and two bags
+disagree on the XOR of their vote tables.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, compress
 from math import comb
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .trees import (
     LEAF0,
@@ -30,6 +34,10 @@ from .trees import (
 )
 
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+class InvariantError(RuntimeError):
+    """Two exact figures the construction guarantees equal (or ordered) are not."""
 
 
 @dataclass(frozen=True)
@@ -130,22 +138,6 @@ class WeightProfile:
             w for b, w in self.weights.items() if b[0] == first and b[1] == second
         )
 
-    def stratum_weight(
-        self,
-        positions: Sequence[int],
-        pattern_bit: int,
-        count: int,
-        first_two: tuple[int, int] | None = None,
-    ) -> int:
-        """Weight of profiles with exactly ``count`` pattern bits among ``positions``."""
-        out = 0
-        for b, w in self.weights.items():
-            if first_two is not None and (b[0], b[1]) != first_two:
-                continue
-            if sum(1 for p in positions if b[p - 1] == pattern_bit) == count:
-                out += w
-        return out
-
 
 @dataclass(frozen=True, slots=True)
 class SubsetSelection:
@@ -176,16 +168,27 @@ def weight_profile(bag: Bag, dist: Distribution) -> WeightProfile:
             f"distribution over {dist.n_vars} variables, bag over {bag.n_vars}"
         )
     _check_table_width(bag.n_vars)
-    tables = [_tree_table_bits(t, bag.n_vars) for t in bag.trees]
-    acc: dict[tuple[int, ...], int] = {}
-    for index in range(1 << bag.n_vars):
-        w = dist.weight(index)
-        if w == 0:
-            continue
-        profile = tuple((t >> index) & 1 for t in tables)
-        acc[profile] = acc.get(profile, 0) + w
-    result = WeightProfile(len(bag.trees), acc)
-    assert result.total == dist.total
+    # Split the full input mask tree by tree: each cell holds the inputs that
+    # share one vote profile so far.
+    cells: dict[tuple[int, ...], int] = {(): (1 << (1 << bag.n_vars)) - 1}
+    for tree in bag.trees:
+        table = _tree_table_bits(tree, bag.n_vars)
+        split: dict[tuple[int, ...], int] = {}
+        for profile, mask in cells.items():
+            ones = mask & table
+            zeros = mask ^ ones
+            if zeros:
+                split[profile + (0,)] = zeros
+            if ones:
+                split[profile + (1,)] = ones
+        cells = split
+    result = WeightProfile(
+        len(bag.trees), {profile: dist.weight_of(cell) for profile, cell in cells.items()}
+    )
+    if result.total != dist.total:
+        raise InvariantError(
+            f"profile weights sum to {result.total}, distribution total is {dist.total}"
+        )
     return result
 
 
@@ -221,29 +224,43 @@ def select_designated_subset(
         raise ValueError(
             f"stratum count {stratum_count} exceeds pool size {len(pool)}"
         )
-    relevant: list[tuple[tuple[int, ...], int]] = []
-    stratum_total = 0
-    for b, w in profile.weights.items():
-        if first_two is not None and (b[0], b[1]) != first_two:
-            continue
-        if sum(1 for p in pool if b[p - 1] == pattern_bit) != stratum_count:
-            continue
-        relevant.append((b, w))
-        stratum_total += w
+    candidates = combinations(pool, subset_size)
+    selection = _select(profile, pool, candidates, stratum_count, pattern_bit, first_two)
+    if not selection.satisfies_bound():
+        raise InvariantError(
+            f"selected weight {selection.weight} exceeds averaging bound "
+            f"{selection.averaging_bound()}"
+        )
+    return selection
+
+
+def _select(
+    profile: WeightProfile,
+    pool: tuple[int, ...],
+    candidates: Iterable[tuple[int, ...]],
+    stratum_count: int,
+    pattern_bit: int,
+    first_two: tuple[int, int] | None,
+) -> SubsetSelection:
+    """The first lightest of ``candidates``, weighed as in select_designated_subset."""
+    relevant = [
+        (b, w)
+        for b, w in profile.weights.items()
+        if (first_two is None or (b[0], b[1]) == first_two)
+        and sum(1 for p in pool if b[p - 1] == pattern_bit) == stratum_count
+    ]
     best: tuple[int, ...] | None = None
     best_weight = 0
-    for subset in combinations(pool, subset_size):
+    for subset in candidates:
         subset_weight = sum(
             w for b, w in relevant if all(b[p - 1] == pattern_bit for p in subset)
         )
         if best is None or subset_weight < best_weight:
             best, best_weight = subset, subset_weight
-    assert best is not None
-    selection = SubsetSelection(
-        best, best_weight, stratum_total, len(pool), subset_size, stratum_count
+    stratum_total = sum(w for _, w in relevant)
+    return SubsetSelection(
+        best, best_weight, stratum_total, len(pool), len(best), stratum_count
     )
-    assert selection.satisfies_bound()
-    return selection
 
 
 @dataclass(frozen=True)
@@ -362,23 +379,8 @@ def reduce_once(
     pool = tuple(range(3, n + 1))
     stratum = m - 2
     if identity_permutations:
-        forced = pool[:designated]
-        sel_ones = SubsetSelection(
-            forced,
-            _subset_weight(profile, pool, forced, stratum, 1, (1, 1)),
-            profile.stratum_weight(pool, 1, stratum, (1, 1)),
-            len(pool),
-            designated,
-            stratum,
-        )
-        sel_zeros = SubsetSelection(
-            forced,
-            _subset_weight(profile, pool, forced, stratum, 0, (0, 0)),
-            profile.stratum_weight(pool, 0, stratum, (0, 0)),
-            len(pool),
-            designated,
-            stratum,
-        )
+        sel_ones = _select(profile, pool, (pool[:designated],), stratum, 1, (1, 1))
+        sel_zeros = _select(profile, pool, (pool[:designated],), stratum, 0, (0, 0))
     else:
         sel_ones = select_designated_subset(profile, pool, designated, stratum, 1, (1, 1))
         sel_zeros = select_designated_subset(profile, pool, designated, stratum, 0, (0, 0))
@@ -405,6 +407,13 @@ def reduce_once(
     reduced = Bag(tuple(reduced_trees), bag.n_vars)
 
     measured = measure_error(reduced, bag, dist)
+    # The disagreement set is exactly the two designated strata, so the
+    # exhaustive measurement must reproduce the profile-level weights.
+    selected = Fraction(sel_ones.weight + sel_zeros.weight, dist.total)
+    if measured != selected:
+        raise InvariantError(
+            f"measured error {measured} differs from selected strata weight {selected}"
+        )
     case_ones = profile.case_weight(1, 1)
     case_zeros = profile.case_weight(0, 0)
     refined = Fraction(
@@ -412,6 +421,11 @@ def reduce_once(
         comb(len(pool), designated) * dist.total,
     )
     bound = Fraction(1, 2**designated)
+    if not identity_permutations:
+        if measured > refined:
+            raise InvariantError(f"measured error {measured} exceeds refined bound {refined}")
+        if refined > bound:
+            raise InvariantError(f"refined bound {refined} exceeds error bound {bound}")
     size_before = max(tree_size(tree) for tree in t)
     size_after = max(tree_size(tree) for tree in reduced_trees)
     exponent = 2 * designated + 11
@@ -436,47 +450,24 @@ def reduce_once(
         size_bound_exponent=exponent,
         size_bound_ratio=Fraction(size_after, size_before**exponent),
     )
-    # The disagreement set is exactly the two designated strata, so the
-    # exhaustive measurement must reproduce the profile-level weights.
-    assert measured == Fraction(sel_ones.weight + sel_zeros.weight, dist.total)
-    if not identity_permutations:
-        assert measured <= refined <= bound
     return reduced, report
 
 
-def _subset_weight(
-    profile: WeightProfile,
-    pool: Sequence[int],
-    subset: Sequence[int],
-    stratum_count: int,
-    pattern_bit: int,
-    first_two: tuple[int, int],
-) -> int:
-    out = 0
-    for b, w in profile.weights.items():
-        if (b[0], b[1]) != first_two:
-            continue
-        if sum(1 for p in pool if b[p - 1] == pattern_bit) != stratum_count:
-            continue
-        if all(b[p - 1] == pattern_bit for p in subset):
-            out += w
-    return out
-
-
-def disagreement_indices(bag_a: Bag, bag_b: Bag) -> list[int]:
-    """Canonical indices of every input where the two bags' votes differ."""
+def _disagreement_mask(bag_a: Bag, bag_b: Bag) -> int:
+    """Mask of the inputs where the two bags' votes differ."""
     if bag_a.n_vars != bag_b.n_vars:
         raise ValueError(
             f"bags over different variable counts: {bag_a.n_vars} vs {bag_b.n_vars}"
         )
     _check_table_width(bag_a.n_vars)
-    diff = _vote_table_bits(bag_a, bag_a.n_vars) ^ _vote_table_bits(bag_b, bag_b.n_vars)
-    out = []
-    while diff:
-        low = diff & -diff
-        out.append(low.bit_length() - 1)
-        diff ^= low
-    return out
+    return _vote_table_bits(bag_a, bag_a.n_vars) ^ _vote_table_bits(bag_b, bag_b.n_vars)
+
+
+def disagreement_indices(bag_a: Bag, bag_b: Bag) -> list[int]:
+    """Canonical indices of every input where the two bags' votes differ."""
+    # One base-2 digit per input, input 0 first, as in Distribution.weight_of.
+    digits = format(_disagreement_mask(bag_a, bag_b), "b")[::-1].encode()
+    return list(compress(range(len(digits)), digits.translate(_DIGIT_VALUES)))
 
 
 def measure_error(bag_a: Bag, bag_b: Bag, dist: Distribution) -> Fraction:
@@ -485,8 +476,7 @@ def measure_error(bag_a: Bag, bag_b: Bag, dist: Distribution) -> Fraction:
         raise ValueError(
             f"distribution over {dist.n_vars} variables, bags over {bag_a.n_vars}"
         )
-    disagree = sum(dist.weight(idx) for idx in disagreement_indices(bag_a, bag_b))
-    return Fraction(disagree, dist.total)
+    return Fraction(dist.weight_of(_disagreement_mask(bag_a, bag_b)), dist.total)
 
 
 def reduce_repeated(
