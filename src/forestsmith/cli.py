@@ -334,7 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--identity-perms",
         action="store_true",
-        help="test hook: skip the subset search, designate positions 3..K+2",
+        help=(
+            "test hook: skip the subset search, designate positions 3..K+2; "
+            "refused (exit 2) when their strata weigh more than 1/2^K"
+        ),
     )
     p.set_defaults(func=cmd_reduce)
 

@@ -15,7 +15,12 @@ from contextlib import contextmanager
 from fractions import Fraction
 from typing import Any
 
-from .lossy import Distribution, IteratedReductionReport, ReductionReport
+from .lossy import (
+    Distribution,
+    IteratedReductionReport,
+    ReductionReport,
+    _bad_weight_index,
+)
 from .trees import Bag, Leaf, Node, Tree, tree_size
 
 BAG_SUFFIX = ".bag.json"
@@ -179,17 +184,16 @@ def doc_to_dist(doc: Any) -> Distribution:
                 f"distribution.weights: expected {1 << n_vars} entries, "
                 f"got {len(weights_doc)}"
             )
-        weights = []
-        for i, w in enumerate(weights_doc):
-            w = _require_int(w, f"distribution.weights[{i}]")
-            if w < 0:
-                raise SchemaError(
-                    f"distribution.weights[{i}]: must be >= 0, got {w}"
-                )
-            weights.append(w)
-        if sum(weights) == 0:
+        try:
+            return Distribution.from_weights(n_vars, weights_doc)
+        except ValueError:
+            # The count and width are checked above, so the weights are bad;
+            # name the first offender as the document path sees it.
+            bad = _bad_weight_index(weights_doc)
+        if bad is None:
             raise SchemaError("distribution.weights: total must be positive")
-        return Distribution.from_weights(n_vars, weights)
+        w = _require_int(weights_doc[bad], f"distribution.weights[{bad}]")
+        raise SchemaError(f"distribution.weights[{bad}]: must be >= 0, got {w}")
     raise SchemaError(
         f"distribution.type: expected 'uniform' or 'table', got {kind!r}"
     )

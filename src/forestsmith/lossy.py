@@ -9,7 +9,10 @@ tolerance check.
 
 Every weight is :meth:`Distribution.weight_of` of an input mask: vote profiles
 are mask cells, split tree by tree on each tree's truth table, and two bags
-disagree on the XOR of their vote tables.
+disagree on the XOR of their vote tables. A distribution is held as bit planes
+(plane j is the mask of the inputs whose weight has bit j set), so a mask's
+weight is one AND and one popcount per plane, and reweighting clears a mask
+from every plane.
 """
 
 from __future__ import annotations
@@ -34,45 +37,92 @@ from .trees import (
 )
 
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+# _PLANE_DIGITS[j] maps a byte to the ASCII digit of its bit j.
+_PLANE_DIGITS = tuple(bytes(48 + (v >> j & 1) for v in range(256)) for j in range(8))
 
 
 class InvariantError(RuntimeError):
     """Two exact figures the construction guarantees equal (or ordered) are not."""
 
 
-@dataclass(frozen=True)
-class Distribution:
-    """Non-negative integer weights over all 2^n_vars inputs.
+def _bad_weight_index(weights: Sequence) -> int | None:
+    """Index of the first weight that is not a non-negative integer, else None.
 
-    ``weights`` is None for the uniform shortcut (weight 1 per input).
-    Probabilities are weight / total; keeping everything integral makes the
-    error bounds exact inequalities.
+    The all-good case is decided at C speed; only a failing sequence is
+    walked, to name the first offender.
+    """
+    if set(map(type, weights)) <= {int} and min(weights) >= 0:
+        return None
+    for idx, w in enumerate(weights):
+        if not isinstance(w, int) or isinstance(w, bool) or w < 0:
+            return idx
+    return None
+
+
+def _bit_planes(weights: Sequence[int]) -> tuple[int, ...]:
+    """Plane j is the mask of the inputs whose weight has bit j set."""
+    depth = max(weights).bit_length()
+    width = (depth + 7) // 8
+    # One byte per input and weight byte, input 0 first.
+    if width == 1:
+        raw = bytes(weights)
+    else:
+        raw = b"".join(w.to_bytes(width, "little") for w in weights)
+    planes = []
+    for j in range(depth):
+        if j % 8 == 0:
+            lane = raw[j // 8 :: width]
+        # Input 0 is the lowest bit, so the digit string is read reversed.
+        planes.append(int(lane.translate(_PLANE_DIGITS[j % 8])[::-1], 2))
+    return tuple(planes)
+
+
+class Distribution:
+    """Non-negative integer weights over all 2^n_vars inputs, held as bit planes.
+
+    ``weights`` is None for the uniform shortcut (weight 1 per input), whose
+    one plane is the full input mask. Probabilities are weight / total;
+    keeping everything integral makes the error bounds exact inequalities.
+    Instances are immutable.
     """
 
-    n_vars: int
-    weights: tuple[int, ...] | None = None
-    total: int = field(init=False)
+    __slots__ = ("n_vars", "total", "_weights", "_planes")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n_vars, int) or self.n_vars < 1:
-            raise ValueError(f"n_vars must be a positive integer, got {self.n_vars!r}")
-        if self.weights is None:
-            object.__setattr__(self, "total", 1 << self.n_vars)
-            return
-        weights = tuple(self.weights)
-        object.__setattr__(self, "weights", weights)
-        if len(weights) != 1 << self.n_vars:
-            raise ValueError(
-                f"need {1 << self.n_vars} weights for {self.n_vars} variables, "
-                f"got {len(weights)}"
-            )
-        for idx, w in enumerate(weights):
-            if not isinstance(w, int) or isinstance(w, bool) or w < 0:
-                raise ValueError(f"weights[{idx}] must be a non-negative integer, got {w!r}")
-        total = sum(weights)
+    def __init__(self, n_vars: int, weights: Iterable[int] | None = None) -> None:
+        if not isinstance(n_vars, int) or n_vars < 1:
+            raise ValueError(f"n_vars must be a positive integer, got {n_vars!r}")
+        planes = None
+        if weights is None:
+            total = 1 << n_vars
+        else:
+            weights = tuple(weights)
+            if len(weights) != 1 << n_vars:
+                raise ValueError(
+                    f"need {1 << n_vars} weights for {n_vars} variables, got {len(weights)}"
+                )
+            bad = _bad_weight_index(weights)
+            if bad is not None:
+                raise ValueError(
+                    f"weights[{bad}] must be a non-negative integer, got {weights[bad]!r}"
+                )
+            total = sum(weights)
+            if total == 0:
+                raise ValueError("distribution total must be positive")
+            planes = _bit_planes(weights)
+        self._init(n_vars, total, weights, planes)
+
+    def _init(self, n_vars, total, weights, planes) -> None:
+        for name, value in zip(self.__slots__, (n_vars, total, weights, planes)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _from_planes(cls, n_vars: int, planes: tuple[int, ...]) -> "Distribution":
+        total = sum(p.bit_count() << j for j, p in enumerate(planes))
         if total == 0:
             raise ValueError("distribution total must be positive")
-        object.__setattr__(self, "total", total)
+        dist = object.__new__(cls)
+        dist._init(n_vars, total, None, planes)
+        return dist
 
     @classmethod
     def uniform(cls, n_vars: int) -> "Distribution":
@@ -80,35 +130,80 @@ class Distribution:
 
     @classmethod
     def from_weights(cls, n_vars: int, weights: Sequence[int]) -> "Distribution":
-        return cls(n_vars, tuple(weights))
+        return cls(n_vars, weights)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n_vars, self._planes) == (other.n_vars, other._planes)
+
+    def __hash__(self):
+        return hash((self.n_vars, self._planes))
+
+    def __reduce__(self):
+        return Distribution, (self.n_vars, self.weights)
+
+    def __repr__(self):
+        return (
+            f"Distribution(n_vars={self.n_vars!r}, weights={self.weights!r}, "
+            f"total={self.total!r})"
+        )
+
+    @property
+    def weights(self) -> tuple[int, ...] | None:
+        """Per-input weights, input 0 first; None for the uniform shortcut."""
+        if self._weights is None and self._planes is not None:
+            # Made from planes by zero_out: spell the weights out once, on demand.
+            size = 1 << self.n_vars
+            rows = [
+                format(p, f"0{size}b")[::-1].encode().translate(_DIGIT_VALUES)
+                for p in self._planes
+            ]
+            weights = tuple(sum(bit << j for j, bit in enumerate(bits)) for bits in zip(*rows))
+            object.__setattr__(self, "_weights", weights)
+        return self._weights
+
+    def _plane_masks(self) -> tuple[int, ...]:
+        if self._planes is None:
+            return ((1 << (1 << self.n_vars)) - 1,)
+        return self._planes
+
+    def _check_mask(self, mask: int) -> None:
+        if mask < 0 or mask.bit_length() > 1 << self.n_vars:
+            raise ValueError(f"mask out of range for {self.n_vars} variables")
 
     def weight(self, index: int) -> int:
-        if self.weights is None:
+        if self._planes is None:
             return 1
         return self.weights[index]
 
     def weight_of(self, mask: int) -> int:
-        """Total weight of the inputs whose canonical indices are set in ``mask``."""
-        size = 1 << self.n_vars
-        if mask < 0 or mask >> size:
-            raise ValueError(f"mask out of range for {self.n_vars} variables")
-        if self.weights is None:
-            return mask.bit_count()
-        # One base-2 digit per input, input 0 first: a linear pass, no shifts.
-        digits = format(mask, f"0{size}b")[::-1].encode()
-        return sum(compress(self.weights, digits.translate(_DIGIT_VALUES)))
+        """Total weight of the inputs whose canonical indices are set in ``mask``.
+
+        Sideways addition over the bit planes: one AND and one popcount per
+        plane, whatever the number of inputs in ``mask``.
+        """
+        self._check_mask(mask)
+        return sum((mask & p).bit_count() << j for j, p in enumerate(self._plane_masks()))
 
     def weights_vector(self) -> tuple[int, ...]:
-        if self.weights is None:
+        if self._planes is None:
             return (1,) * (1 << self.n_vars)
         return self.weights
 
-    def zero_out(self, indices) -> "Distribution":
-        """Copy with the given input indices forced to weight 0."""
-        weights = list(self.weights_vector())
-        for idx in indices:
-            weights[idx] = 0
-        return Distribution.from_weights(self.n_vars, weights)
+    def zero_out(self, mask: int) -> "Distribution":
+        """Copy with the inputs whose indices are set in ``mask`` forced to weight 0."""
+        self._check_mask(mask)
+        planes = [p ^ (p & mask) for p in self._plane_masks()]
+        while planes and not planes[-1]:
+            planes.pop()
+        return Distribution._from_planes(self.n_vars, tuple(planes))
 
 
 @dataclass(frozen=True)
@@ -365,7 +460,9 @@ def reduce_once(
     strata that can disagree with the original vote. The measured error is
     at most 1/2^designated, exactly. ``identity_permutations`` skips the
     subset search and designates positions 3..designated+2 in both branches
-    (a test hook; the bound still holds for the refined, per-subset figures).
+    (a test hook). A forced subset carries no 1/2^designated guarantee: when
+    its two strata weigh more than that, ValueError is raised before any tree
+    is composed.
     """
     n = len(bag.trees)
     if n < 5:
@@ -381,6 +478,12 @@ def reduce_once(
     if identity_permutations:
         sel_ones = _select(profile, pool, (pool[:designated],), stratum, 1, (1, 1))
         sel_zeros = _select(profile, pool, (pool[:designated],), stratum, 0, (0, 0))
+        forced = Fraction(sel_ones.weight + sel_zeros.weight, dist.total)
+        if forced > Fraction(1, 2**designated):
+            raise ValueError(
+                f"identity permutations: forced strata weight {forced} exceeds its "
+                f"bound 1/{2**designated}"
+            )
     else:
         sel_ones = select_designated_subset(profile, pool, designated, stratum, 1, (1, 1))
         sel_zeros = select_designated_subset(profile, pool, designated, stratum, 0, (0, 0))
@@ -465,7 +568,7 @@ def _disagreement_mask(bag_a: Bag, bag_b: Bag) -> int:
 
 def disagreement_indices(bag_a: Bag, bag_b: Bag) -> list[int]:
     """Canonical indices of every input where the two bags' votes differ."""
-    # One base-2 digit per input, input 0 first, as in Distribution.weight_of.
+    # One base-2 digit per input, input 0 first: a linear pass, no shifts.
     digits = format(_disagreement_mask(bag_a, bag_b), "b")[::-1].encode()
     return list(compress(range(len(digits)), digits.translate(_DIGIT_VALUES)))
 
@@ -488,11 +591,11 @@ def reduce_repeated(
 ) -> tuple[Bag, IteratedReductionReport]:
     """Apply :func:`reduce_once` ``steps`` times, reweighting between steps.
 
-    After each step the inputs where the new bag disagrees with that step's
-    input bag get weight 0; the remaining integer weights are kept, so each
-    per-step error is exact under the step's own distribution. The cumulative
-    error against the original bag under the original distribution is at most
-    steps/2^designated.
+    Before each further step, the inputs where the new bag disagrees with the
+    previous step's input bag get weight 0; the remaining integer weights are
+    kept, so each per-step error is exact under the step's own distribution.
+    No reweighting follows the last step. The cumulative error against the
+    original bag under the original distribution is at most steps/2^designated.
     """
     if steps < 1:
         raise ValueError(f"step count must be >= 1, got {steps}")
@@ -513,9 +616,10 @@ def reduce_repeated(
         reduced, report = reduce_once(
             current_bag, current_dist, designated, identity_permutations
         )
-        next_dist = current_dist.zero_out(disagreement_indices(reduced, current_bag))
         reports.append(report)
-        current_bag, current_dist = reduced, next_dist
+        if step < steps:
+            current_dist = current_dist.zero_out(_disagreement_mask(reduced, current_bag))
+        current_bag = reduced
     cumulative = measure_error(current_bag, bag, dist)
     bound = Fraction(steps, 2**designated)
     report = IteratedReductionReport(
@@ -526,7 +630,7 @@ def reduce_repeated(
         total_weight=dist.total,
         measured_error=cumulative,
         error_bound=bound,
-        max_size_before=max(tree_size(t) for t in bag.trees),
-        max_size_after=max(tree_size(t) for t in current_bag.trees),
+        max_size_before=reports[0].max_size_before,
+        max_size_after=reports[-1].max_size_after,
     )
     return current_bag, report

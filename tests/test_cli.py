@@ -141,6 +141,35 @@ class TestReduce:
         assert code == 2
         assert "no-op" in stderr
 
+    def test_identity_perms_over_the_bound_refused(self, tmp_path, capsys):
+        # Seed 19 at l=5: the forced subset 3..4 leaves strata of weight 42
+        # out of 151, more than 1/2^2.
+        bag_path, dist_path = tmp_path / "b.bag.json", tmp_path / "d.dist.json"
+        assert run(
+            capsys, "gen-bag", "--seed", "19", "--n-trees", "9", "--l", "5",
+            "--max-depth", "3", "--out", str(bag_path),
+        )[0] == 0  # fmt: skip
+        assert run(
+            capsys, "gen-dist", "--seed", "19", "--l", "5", "--max-weight", "20",
+            "--out", str(dist_path),
+        )[0] == 0  # fmt: skip
+        out, report = tmp_path / "o.bag.json", tmp_path / "r.json"
+        code, stdout, stderr = run(
+            capsys,
+            "reduce",
+            "--bag", str(bag_path), "--dist", str(dist_path),
+            "--K", "2", "--c", "1",
+            "--out", str(out), "--report", str(report),
+            "--identity-perms",
+        )  # fmt: skip
+        assert code == 2
+        assert stdout == ""
+        assert stderr == (
+            "error: identity permutations: forced strata weight 42/151 "
+            "exceeds its bound 1/4\n"
+        )
+        assert not out.exists() and not report.exists()
+
 
 class TestVerify:
     def test_kofn_oracle(self, tmp_path, capsys):

@@ -58,7 +58,7 @@ class TestDistribution:
             Distribution.from_weights(1, (0, 0))
 
     def test_zero_out(self):
-        d = Distribution.uniform(2).zero_out([1, 3])
+        d = Distribution.uniform(2).zero_out(0b1010)
         assert d.weights_vector() == (1, 0, 1, 0)
         assert d.total == 2
 

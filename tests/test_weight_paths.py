@@ -1,13 +1,22 @@
-"""Differential checks of the mask-cell weight path against per-input counts,
-and the exit-2 contract for broken invariants and over-deep documents."""
+"""Differential checks of the mask-cell weight path and the bit-plane
+distribution against per-input counts, and the exit-2 contract for broken
+invariants and over-deep documents."""
 
+import json
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
 from forestsmith.cli import main
-from forestsmith.io_formats import random_bag, serialize_bag, serialize_distribution
+from forestsmith.io_formats import (
+    SchemaError,
+    deserialize_distribution,
+    random_bag,
+    serialize_bag,
+    serialize_distribution,
+)
 from forestsmith.lossy import (
     Distribution,
     InvariantError,
@@ -188,3 +197,118 @@ def test_deep_document_exits_2(tmp_path, capsys):
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+def _weight_lists(seed, l):
+    """Per-input weight lists that exercise one-byte, two-byte and wide planes."""
+    rng = random.Random(seed)
+    size = 1 << l
+    single = [0] * size
+    single[rng.randrange(size)] = rng.randint(1, 1 << 20)
+    lists = {
+        "zero-one": [rng.randint(0, 1) for _ in range(size)],
+        "up-to-20": [rng.randint(0, 20) for _ in range(size)],
+        "past-a-byte": [rng.randint(0, 300) for _ in range(size)],
+        "past-64-bits": [rng.randint(0, 1 << 70) for _ in range(size)],
+        "single-point": single,
+    }
+    lists["zero-one"][-1] = 1
+    lists["past-a-byte"][0] = 256 + rng.randrange(45)
+    lists["past-64-bits"][-1] = (1 << 64) + rng.randrange(1 << 6)
+    return lists
+
+
+PLANE_CASES = [
+    (l, name, weights)
+    for l in (1, 3, 6, 9)
+    for name, weights in _weight_lists(l, l).items()
+] + [(l, "uniform", None) for l in (1, 3, 6, 9)]
+PLANE_IDS = [f"l{l}-{name}" for l, name, _ in PLANE_CASES]
+
+
+def _masked_sum(weights, mask):
+    return sum(w for i, w in enumerate(weights) if (mask >> i) & 1)
+
+
+def _dist_and_vector(l, weights):
+    if weights is None:
+        return Distribution.uniform(l), (1,) * (1 << l)
+    return Distribution.from_weights(l, weights), tuple(weights)
+
+
+@pytest.mark.parametrize("l,name,weights", PLANE_CASES, ids=PLANE_IDS)
+def test_plane_weight_of_matches_per_index_sum(l, name, weights):
+    dist, vector = _dist_and_vector(l, weights)
+    rng = random.Random(l)
+    masks = [0, (1 << (1 << l)) - 1] + [rng.getrandbits(1 << l) for _ in range(20)]
+    for mask in masks:
+        assert dist.weight_of(mask) == _masked_sum(vector, mask)
+
+
+@pytest.mark.parametrize("l,name,weights", PLANE_CASES, ids=PLANE_IDS)
+def test_zero_out_matches_per_index_zeroing(l, name, weights):
+    dist, vector = _dist_and_vector(l, weights)
+    rng = random.Random(100 + l)
+    for _ in range(10):
+        mask = rng.getrandbits(1 << l)
+        expected = [0 if (mask >> i) & 1 else w for i, w in enumerate(vector)]
+        if not any(expected):
+            with pytest.raises(ValueError, match="positive"):
+                dist.zero_out(mask)
+            continue
+        zeroed = dist.zero_out(mask)
+        assert zeroed.weights_vector() == zeroed.weights == tuple(expected)
+        assert zeroed.total == sum(expected)
+        assert zeroed == Distribution.from_weights(l, expected)
+        assert all(zeroed.weight(i) == w for i, w in enumerate(expected))
+        other = rng.getrandbits(1 << l)
+        assert zeroed.weight_of(other) == _masked_sum(expected, other)
+        # The mask leaves the original untouched.
+        assert dist.weights_vector() == vector
+
+
+@pytest.mark.parametrize("l,name,weights", PLANE_CASES, ids=PLANE_IDS)
+def test_total_and_vector_round_trip(l, name, weights):
+    dist, vector = _dist_and_vector(l, weights)
+    assert dist.weights_vector() == vector
+    assert dist.total == sum(vector)
+    assert Distribution.from_weights(l, dist.weights_vector()).weights_vector() == vector
+    text = serialize_distribution(dist)
+    assert deserialize_distribution(text) == dist
+    assert serialize_distribution(deserialize_distribution(text)) == text
+    assert pickle.loads(pickle.dumps(dist)) == dist
+    # Zeroing nothing keeps every weight, but the result is a table.
+    table = dist.zero_out(0)
+    assert table.weights == vector
+    assert serialize_distribution(table) == serialize_distribution(
+        Distribution.from_weights(l, vector)
+    )
+    assert (table == dist) == (weights is not None)
+
+
+def test_uniform_and_all_ones_table_stay_apart():
+    uniform, table = Distribution.uniform(3), Distribution.from_weights(3, (1,) * 8)
+    assert uniform != table
+    assert serialize_distribution(table) == (
+        '{"l":3,"type":"table","weights":[1,1,1,1,1,1,1,1]}\n'
+    )
+    with pytest.raises(AttributeError):
+        table.total = 9
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, -3, "2"], ids=["bool", "float", "negative", "str"])
+def test_bad_last_weight_keeps_its_message(bad):
+    weights = [1] * 15 + [bad]
+    with pytest.raises(ValueError) as excinfo:
+        Distribution.from_weights(4, weights)
+    assert str(excinfo.value) == f"weights[15] must be a non-negative integer, got {bad!r}"
+    text = serialize_distribution(Distribution.from_weights(4, [1] * 16))
+    text = text.replace("1]", f"{json.dumps(bad)}]")
+    with pytest.raises(SchemaError) as excinfo:
+        deserialize_distribution(text)
+    if bad == -3:
+        assert str(excinfo.value) == "distribution.weights[15]: must be >= 0, got -3"
+    else:
+        assert str(excinfo.value) == (
+            f"distribution.weights[15]: expected an integer, got {bad!r}"
+        )
