@@ -12,7 +12,10 @@ are mask cells, split tree by tree on each tree's truth table, and two bags
 disagree on the XOR of their vote tables. A distribution is held as bit planes
 (plane j is the mask of the inputs whose weight has bit j set), so a mask's
 weight is one AND and one popcount per plane, and reweighting clears a mask
-from every plane.
+from every plane. One ``reduce_repeated`` call builds each tree's table and
+each bag's vote table once, in a ``TableCache`` it hands to every step; the
+reduced trees are still tabled from the trees actually composed, so the
+measured error stays an independent check of the selected strata weight.
 """
 
 from __future__ import annotations
@@ -26,10 +29,9 @@ from typing import Iterable, Mapping, Sequence
 from .trees import (
     LEAF0,
     Bag,
+    TableCache,
     Tree,
     _check_table_width,
-    _tree_table_bits,
-    _vote_table_bits,
     conjoin,
     disjoin,
     negate,
@@ -86,7 +88,7 @@ class Distribution:
     Instances are immutable.
     """
 
-    __slots__ = ("n_vars", "total", "_weights", "_planes")
+    __slots__ = ("n_vars", "total", "_weights", "_planes", "_masks")
 
     def __init__(self, n_vars: int, weights: Iterable[int] | None = None) -> None:
         if not isinstance(n_vars, int) or n_vars < 1:
@@ -112,7 +114,11 @@ class Distribution:
         self._init(n_vars, total, weights, planes)
 
     def _init(self, n_vars, total, weights, planes) -> None:
-        for name, value in zip(self.__slots__, (n_vars, total, weights, planes)):
+        # The planes weighed. A uniform distribution's one full-mask plane is
+        # made here, once; ``_planes`` stays None, unlike an all-ones table's.
+        masks = planes if planes is not None else ((1 << (1 << n_vars)) - 1,)
+        values = (n_vars, total, weights, planes, masks)
+        for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -169,11 +175,6 @@ class Distribution:
             object.__setattr__(self, "_weights", weights)
         return self._weights
 
-    def _plane_masks(self) -> tuple[int, ...]:
-        if self._planes is None:
-            return ((1 << (1 << self.n_vars)) - 1,)
-        return self._planes
-
     def _check_mask(self, mask: int) -> None:
         if mask < 0 or mask.bit_length() > 1 << self.n_vars:
             raise ValueError(f"mask out of range for {self.n_vars} variables")
@@ -190,7 +191,7 @@ class Distribution:
         plane, whatever the number of inputs in ``mask``.
         """
         self._check_mask(mask)
-        return sum((mask & p).bit_count() << j for j, p in enumerate(self._plane_masks()))
+        return sum((mask & p).bit_count() << j for j, p in enumerate(self._masks))
 
     def weights_vector(self) -> tuple[int, ...]:
         if self._planes is None:
@@ -200,7 +201,7 @@ class Distribution:
     def zero_out(self, mask: int) -> "Distribution":
         """Copy with the inputs whose indices are set in ``mask`` forced to weight 0."""
         self._check_mask(mask)
-        planes = [p ^ (p & mask) for p in self._plane_masks()]
+        planes = [p ^ (p & mask) for p in self._masks]
         while planes and not planes[-1]:
             planes.pop()
         return Distribution._from_planes(self.n_vars, tuple(planes))
@@ -256,18 +257,33 @@ class SubsetSelection:
         return self.weight <= self.averaging_bound()
 
 
-def weight_profile(bag: Bag, dist: Distribution) -> WeightProfile:
-    """Exhaustive vote-profile weights of ``bag`` under ``dist``."""
+def _table_cache(n_vars: int, tables: TableCache | None) -> TableCache:
+    """``tables``, checked to be over ``n_vars`` variables, or a new cache."""
+    if tables is None:
+        return TableCache(n_vars)
+    if tables.n_vars != n_vars:
+        raise ValueError(f"table cache over {tables.n_vars} variables, bag over {n_vars}")
+    return tables
+
+
+def weight_profile(
+    bag: Bag, dist: Distribution, tables: TableCache | None = None
+) -> WeightProfile:
+    """Exhaustive vote-profile weights of ``bag`` under ``dist``.
+
+    Tree tables come from ``tables`` when given, and are left in it.
+    """
     if dist.n_vars != bag.n_vars:
         raise ValueError(
             f"distribution over {dist.n_vars} variables, bag over {bag.n_vars}"
         )
     _check_table_width(bag.n_vars)
+    tables = _table_cache(bag.n_vars, tables)
     # Split the full input mask tree by tree: each cell holds the inputs that
     # share one vote profile so far.
     cells: dict[tuple[int, ...], int] = {(): (1 << (1 << bag.n_vars)) - 1}
     for tree in bag.trees:
-        table = _tree_table_bits(tree, bag.n_vars)
+        table = tables.bits(tree)
         split: dict[tuple[int, ...], int] = {}
         for profile, mask in cells.items():
             ones = mask & table
@@ -451,6 +467,7 @@ def reduce_once(
     dist: Distribution,
     designated: int,
     identity_permutations: bool = False,
+    tables: TableCache | None = None,
 ) -> tuple[Bag, ReductionReport]:
     """Rebuild a bag of 2m-1 trees on 2m-3 trees, with exact error accounting.
 
@@ -462,7 +479,8 @@ def reduce_once(
     subset search and designates positions 3..designated+2 in both branches
     (a test hook). A forced subset carries no 1/2^designated guarantee: when
     its two strata weigh more than that, ValueError is raised before any tree
-    is composed.
+    is composed. ``tables`` keeps the tree and vote tables built here for a
+    caller that needs them again.
     """
     n = len(bag.trees)
     if n < 5:
@@ -472,7 +490,8 @@ def reduce_once(
         raise ValueError(
             f"designated count must be in 1..{m - 2} for {n} trees, got {designated}"
         )
-    profile = weight_profile(bag, dist)
+    tables = _table_cache(bag.n_vars, tables)
+    profile = weight_profile(bag, dist, tables)
     pool = tuple(range(3, n + 1))
     stratum = m - 2
     if identity_permutations:
@@ -504,12 +523,14 @@ def reduce_once(
         term_hi_lo = conjoin(head, conjoin(not_second, passthrough))
         term_lo_hi = conjoin(not_head, conjoin(second, passthrough))
         term_zeros = conjoin(not_head, conjoin(not_second, zeros_part))
+        # Right-nested: each term is walked once. disjoin substitutes for
+        # 0-leaves, so A[0<-B][0<-C] = A[0<-B[0<-C]] and the tree is the same.
         reduced_trees.append(
-            disjoin(disjoin(disjoin(term_ones, term_hi_lo), term_lo_hi), term_zeros)
+            disjoin(term_ones, disjoin(term_hi_lo, disjoin(term_lo_hi, term_zeros)))
         )
     reduced = Bag(tuple(reduced_trees), bag.n_vars)
 
-    measured = measure_error(reduced, bag, dist)
+    measured = measure_error(reduced, bag, dist, tables)
     # The disagreement set is exactly the two designated strata, so the
     # exhaustive measurement must reproduce the profile-level weights.
     selected = Fraction(sel_ones.weight + sel_zeros.weight, dist.total)
@@ -556,14 +577,15 @@ def reduce_once(
     return reduced, report
 
 
-def _disagreement_mask(bag_a: Bag, bag_b: Bag) -> int:
+def _disagreement_mask(bag_a: Bag, bag_b: Bag, tables: TableCache | None = None) -> int:
     """Mask of the inputs where the two bags' votes differ."""
     if bag_a.n_vars != bag_b.n_vars:
         raise ValueError(
             f"bags over different variable counts: {bag_a.n_vars} vs {bag_b.n_vars}"
         )
     _check_table_width(bag_a.n_vars)
-    return _vote_table_bits(bag_a, bag_a.n_vars) ^ _vote_table_bits(bag_b, bag_b.n_vars)
+    tables = _table_cache(bag_a.n_vars, tables)
+    return tables.bits(bag_a) ^ tables.bits(bag_b)
 
 
 def disagreement_indices(bag_a: Bag, bag_b: Bag) -> list[int]:
@@ -573,13 +595,16 @@ def disagreement_indices(bag_a: Bag, bag_b: Bag) -> list[int]:
     return list(compress(range(len(digits)), digits.translate(_DIGIT_VALUES)))
 
 
-def measure_error(bag_a: Bag, bag_b: Bag, dist: Distribution) -> Fraction:
+def measure_error(
+    bag_a: Bag, bag_b: Bag, dist: Distribution, tables: TableCache | None = None
+) -> Fraction:
     """Exact disagreement weight of two bags under ``dist``, as a fraction of total."""
     if dist.n_vars != bag_a.n_vars:
         raise ValueError(
             f"distribution over {dist.n_vars} variables, bags over {bag_a.n_vars}"
         )
-    return Fraction(dist.weight_of(_disagreement_mask(bag_a, bag_b)), dist.total)
+    mask = _disagreement_mask(bag_a, bag_b, tables)
+    return Fraction(dist.weight_of(mask), dist.total)
 
 
 def reduce_repeated(
@@ -596,10 +621,12 @@ def reduce_repeated(
     kept, so each per-step error is exact under the step's own distribution.
     No reweighting follows the last step. The cumulative error against the
     original bag under the original distribution is at most steps/2^designated.
+    Each tree's table and each bag's vote table is built once per call.
     """
     if steps < 1:
         raise ValueError(f"step count must be >= 1, got {steps}")
     current_bag, current_dist = bag, dist
+    tables = TableCache(bag.n_vars)
     reports: list[ReductionReport] = []
     for step in range(1, steps + 1):
         n = len(current_bag.trees)
@@ -614,13 +641,14 @@ def reduce_repeated(
                 f"for {n} trees"
             )
         reduced, report = reduce_once(
-            current_bag, current_dist, designated, identity_permutations
+            current_bag, current_dist, designated, identity_permutations, tables
         )
         reports.append(report)
         if step < steps:
-            current_dist = current_dist.zero_out(_disagreement_mask(reduced, current_bag))
+            mask = _disagreement_mask(reduced, current_bag, tables)
+            current_dist = current_dist.zero_out(mask)
         current_bag = reduced
-    cumulative = measure_error(current_bag, bag, dist)
+    cumulative = measure_error(current_bag, bag, dist, tables)
     bound = Fraction(steps, 2**designated)
     report = IteratedReductionReport(
         steps=tuple(reports),

@@ -4,6 +4,12 @@ Trees are immutable. Composition operations (negate, conjoin, disjoin,
 prefix_graft) may share subtree storage internally; all size accounting
 reports the fully expanded tree-node count, so shared storage is invisible
 to callers.
+
+A node's expanded size and largest variable are synthesized attributes: each
+``Node`` sets them from its children when it is built, so ``tree_size`` and
+``max_var`` are O(1) reads however large the expanded tree is. Truth tables
+are folds over the stored node graph; a ``TableCache`` keeps each tree's and
+each bag's table for the length of one computation, keyed by identity.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ import os
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, ClassVar, Iterable, Mapping, Sequence, Union
 
 MAX_TABLE_VARS = 24
 SOFT_WARN_VARS = 20
@@ -24,6 +30,8 @@ class Leaf:
     """Terminal node labeled 0 or 1."""
 
     label: int
+    size: ClassVar[int] = 1
+    max_var: ClassVar[int] = 0
 
     def __post_init__(self) -> None:
         if self.label not in (0, 1):
@@ -35,15 +43,28 @@ class Node:
     """Internal node querying variable ``var`` (1-based).
 
     ``lo`` is followed when the queried variable is 0, ``hi`` when it is 1.
+    ``size`` (expanded node count, leaves included) and ``max_var`` (largest
+    variable queried) are derived from the children at construction and take
+    no part in equality, hashing, repr or pickling.
     """
 
     var: int
     lo: "Tree"
     hi: "Tree"
+    size: int = field(init=False, repr=False, compare=False)
+    max_var: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.var, int) or isinstance(self.var, bool) or self.var < 1:
-            raise ValueError(f"variable index must be a positive integer, got {self.var!r}")
+        var, lo, hi = self.var, self.lo, self.hi
+        if not isinstance(var, int) or isinstance(var, bool) or var < 1:
+            raise ValueError(f"variable index must be a positive integer, got {var!r}")
+        object.__setattr__(self, "size", 1 + lo.size + hi.size)
+        object.__setattr__(self, "max_var", max(var, lo.max_var, hi.max_var))
+
+    def __reduce__(self):
+        # Rebuilt through __init__, so a pickle carries no sizes and is
+        # revalidated on load, the same on every Python version.
+        return Node, (self.var, self.lo, self.hi)
 
 
 Tree = Union[Leaf, Node]
@@ -86,12 +107,12 @@ def _fold(root: Tree, leaf_fn: Callable, node_fn: Callable):
 
 def tree_size(tree: Tree) -> int:
     """Number of nodes in the expanded tree, leaves included."""
-    return _fold(tree, lambda leaf: 1, lambda node, lo, hi: 1 + lo + hi)
+    return tree.size
 
 
 def max_var(tree: Tree) -> int:
     """Largest variable index queried anywhere in the tree (0 for leaves)."""
-    return _fold(tree, lambda leaf: 0, lambda node, lo, hi: max(node.var, lo, hi))
+    return tree.max_var
 
 
 def leaf_counts(tree: Tree) -> tuple[int, int]:
@@ -186,7 +207,7 @@ class Bag:
         if not isinstance(self.n_vars, int) or self.n_vars < 1:
             raise ValueError(f"n_vars must be a positive integer, got {self.n_vars!r}")
         for pos, tree in enumerate(self.trees, start=1):
-            worst = max_var(tree)
+            worst = tree.max_var
             if worst > self.n_vars:
                 raise ValueError(
                     f"tree {pos} queries variable {worst}, beyond declared {self.n_vars}"
@@ -365,10 +386,13 @@ def _lanes_at_least(planes: list[int], k: int, full: int) -> int:
     return ge | eq
 
 
-def _vote_table_bits(bag: Bag, n_vars: int) -> int:
+def _vote_table_bits(tree_tables: Iterable[int], threshold: int, n_vars: int) -> int:
+    """Lanes where at least ``threshold`` of the tree tables are 1.
+
+    The tables are taken one at a time, so a generator keeps one alive.
+    """
     planes: list[int] = []
-    for tree in bag.trees:
-        carry = _tree_table_bits(tree, n_vars)
+    for carry in tree_tables:
         j = 0
         while carry:
             if j == len(planes):
@@ -377,7 +401,35 @@ def _vote_table_bits(bag: Bag, n_vars: int) -> int:
             planes[j], carry = planes[j] ^ carry, planes[j] & carry
             j += 1
     full = (1 << (1 << n_vars)) - 1
-    return _lanes_at_least(planes, bag.majority_threshold, full)
+    return _lanes_at_least(planes, threshold, full)
+
+
+class TableCache:
+    """Truth-table bits at one width: each tree's, and each bag's vote, built once.
+
+    Entries are keyed by object identity, and each holds a reference to its
+    tree or bag, so no key can be taken over by a new object while the cache
+    lives. A cache lasts for one computation (one ``reduce_repeated`` call);
+    nothing is kept between calls. Callers check the width.
+    """
+
+    __slots__ = ("n_vars", "_tables")
+
+    def __init__(self, n_vars: int) -> None:
+        self.n_vars = n_vars
+        self._tables: dict[int, tuple[Union[Tree, Bag], int]] = {}
+
+    def bits(self, subject: Union[Tree, Bag]) -> int:
+        """Table bits of a tree, or of a bag's majority vote."""
+        hit = self._tables.get(id(subject))
+        if hit is None:
+            if isinstance(subject, Bag):
+                tree_tables = map(self.bits, subject.trees)
+                value = _vote_table_bits(tree_tables, subject.majority_threshold, self.n_vars)
+            else:
+                value = _tree_table_bits(subject, self.n_vars)
+            hit = self._tables[id(subject)] = (subject, value)
+        return hit[1]
 
 
 def truth_table(subject: Union[Tree, Bag], n_vars: int | None = None) -> TruthTable:
@@ -390,7 +442,9 @@ def truth_table(subject: Union[Tree, Bag], n_vars: int | None = None) -> TruthTa
                 f"bag declares {subject.n_vars} variables, table width {n_vars} too small"
             )
         _check_table_width(n_vars)
-        return TruthTable(n_vars, _vote_table_bits(subject, n_vars))
+        tree_tables = (_tree_table_bits(tree, n_vars) for tree in subject.trees)
+        bits = _vote_table_bits(tree_tables, subject.majority_threshold, n_vars)
+        return TruthTable(n_vars, bits)
     if n_vars is None:
         raise ValueError("n_vars is required for a bare tree")
     _check_table_width(n_vars)

@@ -1,12 +1,13 @@
 import csv
 import json
+import sys
 import warnings
 from fractions import Fraction
 
 import pytest
 
-from forestsmith import trees
-from forestsmith.cli import CSV_COLUMNS, main
+from forestsmith import cli, trees
+from forestsmith.cli import CSV_COLUMNS, HEX_SIZE_BITS, _row, main
 from forestsmith.io_formats import (
     deserialize_bag,
     serialize_bag,
@@ -14,7 +15,7 @@ from forestsmith.io_formats import (
 )
 from forestsmith.kofn import ChooseSpec, build_choose_bag
 from forestsmith.lossy import Distribution
-from forestsmith.trees import vote_profile
+from forestsmith.trees import LEAF0, Bag, Node, vote_profile
 from forestsmith.verify import exhaustive_equiv, threshold_oracle
 
 
@@ -369,6 +370,29 @@ class TestSweep:
         assert code == 2
         assert "--seed is mandatory" in stderr
 
+    def test_failed_kofn_row_error_is_the_table_difference(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        real = cli.build_choose_bag
+        # Hand the sweep the "at least 3 of 5" bag for k=2: the two functions
+        # differ exactly on the C(5, 2) = 10 inputs with two ones.
+        monkeypatch.setattr(
+            cli,
+            "build_choose_bag",
+            lambda spec: real(ChooseSpec(5, 3) if (spec.n, spec.k) == (5, 2) else spec),
+        )
+        out = tmp_path / "kofn.csv"
+        code, stdout, _ = run(
+            capsys, "sweep", "--mode", "kofn", "--csv", str(out), "--n-list", "3,5"
+        )
+        assert code == 1
+        assert "all verified: False" in stdout
+        rows = self.read_rows(out)
+        failed = [r for r in rows if r["verified"] != "True"]
+        assert [(r["n"], r["k"]) for r in failed] == [("5", "2")]
+        assert (failed[0]["error"], failed[0]["error_decimal"]) == ("5/16", "0.312500")
+        assert all(r["error"] == "0/1" for r in rows if r["verified"] == "True")
+
     def test_empty_range_writes_header_only(self, tmp_path, capsys):
         out = tmp_path / "empty.csv"
         code, _, _ = run(
@@ -422,3 +446,54 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+def _chain(length):
+    """Node(1, t, t) nested ``length`` times: 2^(length+1) - 1 expanded nodes."""
+    t = LEAF0
+    for _ in range(length):
+        t = Node(1, t, t)
+    return t
+
+
+class TestHugeSizes:
+    """Sizes past CPython's 4 300-digit str limit are written in hex."""
+
+    def test_row_spelling_switches_at_the_threshold(self):
+        digits = sys.get_int_max_str_digits()
+        below, above = _chain(HEX_SIZE_BITS - 1), _chain(HEX_SIZE_BITS)
+        assert below.size.bit_length() == HEX_SIZE_BITS
+        row = _row("lossy", Bag((below,), 1), "1/2", True, Fraction(0), 0.0)
+        assert row["max_tree_size"] == below.size == 2 ** HEX_SIZE_BITS - 1
+        assert row["total_size"] == below.size
+        row = _row("lossy", Bag((above, below, above), 1), "1/2", True, Fraction(0), 0.0)
+        assert row["max_tree_size"] == "0x" + format(above.size, "x")
+        assert int(row["total_size"], 16) == 2 * above.size + below.size
+        assert sys.get_int_max_str_digits() == digits
+
+    def test_sweep_writes_a_huge_size_in_hex(self, tmp_path, capsys, monkeypatch):
+        digits = sys.get_int_max_str_digits()
+        chain = _chain(15_000)
+        assert chain.size == 2**15_001 - 1
+        real = cli.reduce_repeated
+
+        def huge(*args, **kwargs):
+            _, report = real(*args, **kwargs)
+            return Bag((chain, chain, chain), 1), report
+
+        monkeypatch.setattr(cli, "reduce_repeated", huge)
+        out = tmp_path / "lossy.csv"
+        code, _, stderr = run(
+            capsys,
+            "sweep", "--mode", "lossy", "--csv", str(out), "--seed", "3", "--count", "2",
+            "--n-trees", "7", "--l", "5", "--max-depth", "2", "--K", "1", "--c", "1",
+        )  # fmt: skip
+        assert (code, stderr) == (0, "")
+        with open(out, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 2
+        for row in rows:
+            assert row["max_tree_size"] == "0x1" + "f" * 3750
+            assert int(row["total_size"], 16) == 3 * chain.size
+            assert row["trees"] == "3" and row["verified"] == "True"
+        assert sys.get_int_max_str_digits() == digits

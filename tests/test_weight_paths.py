@@ -137,8 +137,8 @@ def off_by_one_error(monkeypatch):
 
     original = lossy.measure_error
 
-    def skewed(bag_a, bag_b, dist):
-        return original(bag_a, bag_b, dist) + Fraction(1, dist.total)
+    def skewed(bag_a, bag_b, dist, *tables):
+        return original(bag_a, bag_b, dist, *tables) + Fraction(1, dist.total)
 
     monkeypatch.setattr(lossy, "measure_error", skewed)
 
@@ -294,6 +294,16 @@ def test_uniform_and_all_ones_table_stay_apart():
     )
     with pytest.raises(AttributeError):
         table.total = 9
+
+
+def test_uniform_full_plane_is_made_once():
+    uniform = Distribution.uniform(5)
+    (full,) = uniform._masks
+    assert full == (1 << 32) - 1 and uniform._planes is None
+    assert uniform.weight_of(full) == 32
+    assert uniform.zero_out(0b101).weight_of(full) == 30
+    assert uniform._masks[0] is full
+    assert hash(uniform) != hash(Distribution.from_weights(5, (1,) * 32))
 
 
 @pytest.mark.parametrize("bad", [True, 1.0, -3, "2"], ids=["bool", "float", "negative", "str"])
