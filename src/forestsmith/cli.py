@@ -12,7 +12,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from .io_formats import (
+    HEX_SIZE_BITS,  # noqa: F401 (the sweep CSV's hex threshold, named here too)
     SchemaError,
+    _size_str,
     deserialize_bag,
     deserialize_distribution,
     random_bag,
@@ -44,13 +46,6 @@ CSV_COLUMNS = [
     "error_decimal",
 ]
 
-# Sizes longer than this many bits are written to the sweep CSV in hex with a
-# 0x prefix. CPython refuses to write an int of more than 4 300 decimal digits
-# (about 14 284 bits) by default, and that limit is process-global state, so
-# the spelling is chosen by bit length alone; smaller sizes stay decimal.
-HEX_SIZE_BITS = 13_000
-
-
 def _write_text_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
@@ -75,10 +70,6 @@ def _load_dist(path: str) -> Distribution:
 def _sizes(bag: Bag) -> tuple[int, int]:
     sizes = [tree_size(t) for t in bag.trees]
     return max(sizes), sum(sizes)
-
-
-def _size_str(size: int) -> int | str:
-    return f"0x{size:x}" if size.bit_length() > HEX_SIZE_BITS else size
 
 
 def _frac_str(value: Fraction) -> str:

@@ -3,7 +3,8 @@
 Serialization is byte-stable: keys are sorted, separators fixed, and every
 persisted value is an integer or a "p/q" rational string, so golden files
 compare exactly across runs and platforms. Documents spell trees out in
-full, one object per expanded node.
+full, one object per expanded node; a bag read back holds one node per
+distinct subtree, across all its trees.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .lossy import (
     ReductionReport,
     _bad_weight_index,
 )
-from .trees import Bag, Leaf, Node, Tree, tree_size
+from .trees import LEAF0, LEAF1, Bag, Leaf, Node, Tree, tree_size
 
 BAG_SUFFIX = ".bag.json"
 DIST_SUFFIX = ".dist.json"
@@ -31,6 +32,13 @@ REPORT_SUFFIX = ".report.json"
 # (iterated compositions can reach astronomical node counts) must be refused
 # rather than exhausting memory.
 SERIALIZE_NODE_LIMIT = 1_000_000
+
+# Sizes longer than this many bits are spelled in hex with a 0x prefix, in the
+# sweep CSV and in the refusal above. CPython refuses to write an int of more
+# than 4 300 decimal digits (about 14 284 bits) by default, and that limit is
+# process-global state, so the spelling is chosen by bit length alone;
+# smaller sizes stay decimal.
+HEX_SIZE_BITS = 13_000
 
 
 class SchemaError(ValueError):
@@ -55,11 +63,16 @@ def _require_int(value: Any, path: str) -> int:
     return value
 
 
+def _size_str(size: int) -> int | str:
+    """A node count as written: the int itself, or 0x hex past HEX_SIZE_BITS."""
+    return f"0x{size:x}" if size.bit_length() > HEX_SIZE_BITS else size
+
+
 def tree_to_doc(tree: Tree) -> dict:
     expanded = tree_size(tree)
     if expanded > SERIALIZE_NODE_LIMIT:
         raise ValueError(
-            f"tree expands to {expanded} nodes; refusing to serialize beyond "
+            f"tree expands to {_size_str(expanded)} nodes; refusing to serialize beyond "
             f"{SERIALIZE_NODE_LIMIT}"
         )
     memo: dict[int, dict] = {}
@@ -78,6 +91,17 @@ def tree_to_doc(tree: Tree) -> dict:
 
 
 def doc_to_tree(doc: Any, n_vars: int, path: str = "tree") -> Tree:
+    return _read_tree(doc, n_vars, path, {})
+
+
+def _read_tree(doc: Any, n_vars: int, path: str, unique: dict) -> Tree:
+    """Validate and build one tree through ``unique``, the document's node table.
+
+    ``unique`` maps ``(var, id(lo), id(hi))`` to the node already built with
+    that label and those children; it holds every node, so no id is reused
+    while it lives. Leaves are ``LEAF0``/``LEAF1``, so equal subtrees are one
+    object however often the document spells them out (Bryant's unique table).
+    """
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: expected an object, got {type(doc).__name__}")
     keys = set(doc)
@@ -85,14 +109,18 @@ def doc_to_tree(doc: Any, n_vars: int, path: str = "tree") -> Tree:
         label = _require_int(doc["leaf"], f"{path}.leaf")
         if label not in (0, 1):
             raise SchemaError(f"{path}.leaf: expected 0 or 1, got {label}")
-        return Leaf(label)
+        return LEAF1 if label else LEAF0
     if keys == {"var", "lo", "hi"}:
         var = _require_int(doc["var"], f"{path}.var")
         if not 1 <= var <= n_vars:
             raise SchemaError(f"{path}.var: index {var} out of range [1, {n_vars}]")
-        lo = doc_to_tree(doc["lo"], n_vars, f"{path}.lo")
-        hi = doc_to_tree(doc["hi"], n_vars, f"{path}.hi")
-        return Node(var, lo, hi)
+        lo = _read_tree(doc["lo"], n_vars, f"{path}.lo", unique)
+        hi = _read_tree(doc["hi"], n_vars, f"{path}.hi", unique)
+        key = (var, id(lo), id(hi))
+        node = unique.get(key)
+        if node is None:
+            node = unique[key] = Node(var, lo, hi)
+        return node
     raise SchemaError(
         f"{path}: expected keys {{'leaf'}} or {{'var', 'lo', 'hi'}}, got {sorted(keys)}"
     )
@@ -120,9 +148,11 @@ def doc_to_bag(doc: Any) -> Bag:
         raise SchemaError(
             f"bag.trees: odd cardinality required, got {len(trees_doc)} trees"
         )
+    unique: dict = {}
     with _deep_documents():
         trees = [
-            doc_to_tree(td, n_vars, f"bag.trees[{i}]") for i, td in enumerate(trees_doc)
+            _read_tree(td, n_vars, f"bag.trees[{i}]", unique)
+            for i, td in enumerate(trees_doc)
         ]
     return Bag(tuple(trees), n_vars)
 

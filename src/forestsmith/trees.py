@@ -9,7 +9,10 @@ A node's expanded size and largest variable are synthesized attributes: each
 ``Node`` sets them from its children when it is built, so ``tree_size`` and
 ``max_var`` are O(1) reads however large the expanded tree is. Truth tables
 are folds over the stored node graph; a ``TableCache`` keeps each tree's and
-each bag's table for the length of one computation, keyed by identity.
+each bag's table for the length of one computation, keyed by identity. A
+bag's ``truth_table`` is one fold over the distinct nodes of all its trees,
+so a subtree shared between trees is tabled once, and each table is dropped
+after its last use.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import os
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, ClassVar, Iterable, Mapping, Sequence, Union
+from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Sequence, Union
 
 MAX_TABLE_VARS = 24
 SOFT_WARN_VARS = 20
@@ -369,6 +372,77 @@ def _tree_table_bits(tree: Tree, n_vars: int) -> int:
     return _fold(tree, lambda leaf: full if leaf.label else 0, node_fn)
 
 
+def _root_table_bits(roots: Sequence[Tree], n_vars: int) -> Iterator[int]:
+    """Table bits of each root in order, from one fold over their stored nodes.
+
+    A node shared by several roots is tabled once. Each table is dropped as
+    soon as its last parent (or, for a root, its vote) has used it. The
+    caller vouches that no root queries a variable beyond ``n_vars``.
+    """
+    masks = _variable_masks(n_vars)
+    full = (1 << (1 << n_vars)) - 1
+    # First pass: number the distinct stored nodes in post-order, root by
+    # root, and count each slot's uses, one per parent edge and one per root
+    # occurrence. A node is numbered only when it is back on top of the stack
+    # with both children numbered, so a child first reached through its
+    # sibling's subtree still comes first.
+    slot_of: dict[int, int] = {}
+    values: list[int | None] = []
+    uses: list[int] = []
+    steps: list[tuple[int, int, int, int]] = []  # (slot, lo slot, hi slot, mask)
+    root_slots: list[int] = []
+    ends: list[int] = []
+    for root in roots:
+        stack = [root]
+        while stack:
+            t = stack[-1]
+            if id(t) in slot_of:
+                stack.pop()
+            elif t.__class__ is Leaf:
+                slot_of[id(t)] = len(values)
+                values.append(full if t.label else 0)
+                uses.append(0)
+                stack.pop()
+            else:
+                lo = slot_of.get(id(t.lo))
+                hi = slot_of.get(id(t.hi))
+                if lo is None:
+                    stack.append(t.lo)
+                if hi is None:
+                    stack.append(t.hi)
+                if lo is not None and hi is not None:
+                    stack.pop()
+                    slot = slot_of[id(t)] = len(values)
+                    values.append(None)
+                    uses.append(0)
+                    uses[lo] += 1
+                    uses[hi] += 1
+                    steps.append((slot, lo, hi, masks[t.var - 1]))
+        slot = slot_of[id(root)]
+        uses[slot] += 1
+        root_slots.append(slot)
+        ends.append(len(steps))
+    # Second pass: table the nodes in that order, handing each root's table
+    # to the vote as soon as it is built.
+    start = 0
+    for root_slot, end in zip(root_slots, ends):
+        for slot, lo, hi, mask in steps[start:end]:
+            lo_bits, hi_bits = values[lo], values[hi]
+            uses[lo] -= 1
+            if not uses[lo]:
+                values[lo] = None
+            uses[hi] -= 1
+            if not uses[hi]:
+                values[hi] = None
+            # hi where the variable is 1, lo elsewhere (see _tree_table_bits).
+            values[slot] = lo_bits ^ ((lo_bits ^ hi_bits) & mask)
+        start = end
+        yield values[root_slot]
+        uses[root_slot] -= 1
+        if not uses[root_slot]:
+            values[root_slot] = None
+
+
 def _lanes_at_least(planes: list[int], k: int, full: int) -> int:
     """Lanes whose per-lane binary counter (little-endian planes) is >= k."""
     if k <= 0:
@@ -442,8 +516,8 @@ def truth_table(subject: Union[Tree, Bag], n_vars: int | None = None) -> TruthTa
                 f"bag declares {subject.n_vars} variables, table width {n_vars} too small"
             )
         _check_table_width(n_vars)
-        tree_tables = (_tree_table_bits(tree, n_vars) for tree in subject.trees)
-        bits = _vote_table_bits(tree_tables, subject.majority_threshold, n_vars)
+        root_tables = _root_table_bits(subject.trees, n_vars)
+        bits = _vote_table_bits(root_tables, subject.majority_threshold, n_vars)
         return TruthTable(n_vars, bits)
     if n_vars is None:
         raise ValueError("n_vars is required for a bare tree")
